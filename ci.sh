@@ -152,6 +152,8 @@ echo "== bench smoke (tiny sizes; any panic fails the run) =="
 DEX_BENCH_SMOKE=1 DEX_BENCH_OUT="$PWD/target/bench-smoke" \
   cargo bench -q --locked --offline -p dex-bench
 test -f target/bench-smoke/BENCH_chase.json || { echo "chase bench did not write target/bench-smoke/BENCH_chase.json"; exit 1; }
+grep -q '"egd_merge"' target/bench-smoke/BENCH_chase.json \
+  || { echo "chase bench smoke recorded no egd_merge rows"; exit 1; }
 test -f target/bench-smoke/BENCH_obs.json || { echo "obs bench did not write target/bench-smoke/BENCH_obs.json"; exit 1; }
 # The committed tracing-overhead baseline must carry an armed <5%
 # NullCollector gate — an unarmed (smoke) baseline reads as unverified.

@@ -1,7 +1,8 @@
 //! Chase benchmarks (experiments E6 and E7 of EXPERIMENTS.md):
 //! standard-chase scaling on weakly acyclic settings, Example 2.1's
-//! family, path-system closures, the D_halt Turing simulation, and the
-//! naive-vs-delta engine ablation (E8).
+//! family, path-system closures, the D_halt Turing simulation, the
+//! naive-vs-delta engine ablation (E8), and the egd fixpoint of the
+//! keyed mapping family by size (`egd_merge`).
 //!
 //! `cargo bench -p dex-bench --bench chase`; set `DEX_BENCH_SMOKE=1` for
 //! a tiny-size smoke run (any panic exits nonzero, so CI can gate on it).
@@ -11,7 +12,8 @@
 
 use dex_chase::{chase, chase_naive, ChaseBudget, ChaseStats};
 use dex_datagen::{
-    example_2_1_scaled, layered_setting, random_source, LayeredConfig, SourceConfig,
+    example_2_1_scaled, layered_setting, mapping_scenario, random_source, LayeredConfig,
+    ScenarioConfig, SourceConfig,
 };
 use dex_logic::parse_setting;
 use dex_obs::JsonValue;
@@ -198,6 +200,52 @@ fn bench_ablation(h: &mut Harness) -> Vec<AblationRow> {
     rows
 }
 
+/// One keyed-mapping egd-fixpoint row for `BENCH_chase.json`.
+struct EgdMergeRow {
+    bench: String,
+    constants: usize,
+    median_ns: u128,
+    stats: ChaseStats,
+}
+
+/// The copy/partition/surrogate-key mapping at n constants × n tuples
+/// per relation: its chase is dominated by the egd fixpoint, so each row
+/// records the fixpoint's time, merges and seeded body matches (from one
+/// captured run) to show how they grow with the size.
+fn bench_egd_merge(h: &mut Harness) -> Vec<EgdMergeRow> {
+    let setting = mapping_scenario(&ScenarioConfig {
+        copies: 2,
+        partitions: 2,
+        surrogates: 3,
+        seed: 5,
+    });
+    let budget = ChaseBudget::default();
+    let mut rows = Vec::new();
+    for n in sizes(&[64, 128, 256], &[16, 32]) {
+        let s = random_source(
+            &setting.source,
+            &SourceConfig {
+                num_constants: n,
+                tuples_per_relation: n,
+                seed: 5,
+            },
+        );
+        h.bench(&format!("egd_merge/{n}"), || {
+            chase(&setting, &s, &budget).unwrap();
+        });
+        let median_ns = h.results().last().expect("just measured").median_ns();
+        let stats = capture_stats("egd_merge", chase(&setting, &s, &budget))
+            .expect("the keyed mapping never conflicts");
+        rows.push(EgdMergeRow {
+            bench: format!("egd_merge/{n}"),
+            constants: n,
+            median_ns,
+            stats,
+        });
+    }
+    rows
+}
+
 /// One governed-vs-ungoverned overhead row for `BENCH_chase.json`.
 ///
 /// "Ungoverned" is the default budget: the governor exists but arms no
@@ -293,12 +341,13 @@ fn measurement_json(m: &Measurement) -> JsonValue {
         .with("runs", JsonValue::uint(m.samples_ns.len() as u64))
 }
 
-/// Dump of every measurement plus the ablation and governed rows to
-/// `BENCH_chase.json` at the workspace root, via the shared
+/// Dump of every measurement plus the ablation, egd-merge and governed
+/// rows to `BENCH_chase.json` at the workspace root, via the shared
 /// [`dex_obs::JsonValue`] writer.
 fn dump_json(
     measurements: &[Measurement],
     rows: &[AblationRow],
+    egd_merge: &[EgdMergeRow],
     governed: &[GovernedRow],
     runs_hint: usize,
 ) {
@@ -321,6 +370,30 @@ fn dump_json(
                             .with("speedup", JsonValue::Float(r.speedup()))
                             .with("delta_stats", stats(&r.delta_stats))
                             .with("naive_stats", stats(&r.naive_stats))
+                    })
+                    .collect(),
+            ),
+        )
+        .with(
+            "egd_merge",
+            JsonValue::Arr(
+                egd_merge
+                    .iter()
+                    .map(|r| {
+                        JsonValue::obj()
+                            .with("bench", JsonValue::str(r.bench.clone()))
+                            .with("constants", JsonValue::uint(r.constants as u64))
+                            .with("median_ns", JsonValue::UInt(r.median_ns))
+                            .with("egd_time_ns", JsonValue::UInt(r.stats.egd_time_ns))
+                            .with("egd_steps", JsonValue::uint(r.stats.egd_steps as u64))
+                            .with(
+                                "egd_seeds_examined",
+                                JsonValue::uint(r.stats.egd_seeds_examined as u64),
+                            )
+                            .with(
+                                "rows_rewritten",
+                                JsonValue::uint(r.stats.rows_rewritten as u64),
+                            )
                     })
                     .collect(),
             ),
@@ -370,6 +443,13 @@ fn main() {
             r.speedup()
         );
     }
+    let egd_merge = bench_egd_merge(&mut h);
+    for r in &egd_merge {
+        println!(
+            "egd_merge {}: egd {}ns, {} merges, {} seeds examined",
+            r.bench, r.stats.egd_time_ns, r.stats.egd_steps, r.stats.egd_seeds_examined
+        );
+    }
     let governed = bench_governed(&mut h);
     for r in &governed {
         println!(
@@ -382,6 +462,12 @@ fn main() {
         );
     }
     let measurements = h.results().to_vec();
-    dump_json(&measurements, &rows, &governed, measurements.len());
+    dump_json(
+        &measurements,
+        &rows,
+        &egd_merge,
+        &governed,
+        measurements.len(),
+    );
     h.finish();
 }

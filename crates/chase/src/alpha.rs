@@ -283,7 +283,7 @@ pub fn alpha_chase_naive_clocked(
         // Egd application (Definition 4.1). Applied eagerly; by Lemma 4.5
         // the strategy does not affect the outcome.
         let t_phase = clock.now_ns();
-        let egd_result = crate::standard::egd_step(setting, &inst);
+        let egd_result = crate::standard::egd_step(setting, &inst, &mut stats);
         stats.egd_time_ns += (clock.now_ns() - t_phase) as u128;
         match egd_result {
             Err(crate::standard::ChaseError::EgdConflict { witness }) => {

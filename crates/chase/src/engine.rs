@@ -16,6 +16,33 @@
 //! so they re-enter the delta window. Seeding each body atom with each
 //! delta row thus reaches every genuinely new trigger.
 //!
+//! # Why a resumed egd scan is complete
+//!
+//! Each egd fixpoint runs one [`EgdScan`]: a row-log cursor per (egd,
+//! body position), starting at the fixpoint's seed. The scan pins each
+//! live row at its body position and stops at the first match with
+//! `lhs ≠ rhs`; after the merge it resumes from the saved cursors
+//! instead of rescanning from the seed. No violation is missed:
+//!
+//! - A row the scan has already passed keeps its values unless a merge
+//!   rewrites it (rows are immutable; a rewrite is a new row).
+//! - [`Instance::merge_value`] tombstones every rewritten row and
+//!   re-appends it at the end of its log, past every cursor.
+//! - So a match made only of passed rows already existed, with the same
+//!   values, when the most recently pinned of its rows was pinned, and
+//!   was clean then (rows before the seed were clean at the previous
+//!   fixpoint). Any new violation contains a row some cursor has not
+//!   reached yet.
+//!
+//! The scan ends when one pass over all cursors finds nothing left, at
+//! O(window + rewritten rows) pins instead of the O(merges × window) a
+//! restart-per-merge costs. Its first violation is the one a restart
+//! would find (same egd, position and row), and the final quotient does
+//! not depend on merge order: every merge eliminates one value, and the
+//! surviving value of a class is its constant or its smallest null. So
+//! `egd_steps` and the post-fixpoint atom set are what a restarting
+//! search produces.
+//!
 //! # Why the α-chase needs a full reset after merges
 //!
 //! An ᾱ-head is a *specific* set of atoms, not an existential: a merge
@@ -37,7 +64,7 @@ use dex_core::{
     merge_policy, Atom, DeltaCursor, Instance, NullGen, SourceDelta, Symbol, Value, ValueUnionFind,
 };
 use dex_logic::matcher;
-use dex_logic::{Assignment, Body, FAtom, Setting, Term, Tgd};
+use dex_logic::{Assignment, Body, EgdScan, EgdViolation, FAtom, Setting, Term, Tgd};
 use dex_obs::{EventKind, Tracer};
 use std::collections::{HashMap, HashSet};
 
@@ -63,15 +90,6 @@ fn valuation_of(env: &Assignment) -> Vec<(String, Value)> {
     env.bindings()
         .map(|(v, val)| (v.to_string(), val))
         .collect()
-}
-
-/// An egd trigger whose two sides are unequal, as found by
-/// [`ChaseEngine::find_violation_seeded`].
-struct EgdViolation {
-    egd_index: usize,
-    env: Assignment,
-    left: Value,
-    right: Value,
 }
 
 fn state_hash(inst: &Instance) -> u64 {
@@ -185,46 +203,6 @@ impl<'a> ChaseEngine<'a> {
             });
         }
         Ok(())
-    }
-
-    /// The first egd violation involving at least one row appended since
-    /// `seed` (after an egd fixpoint every later violation must: new
-    /// violations need a new or rewritten row). Returns the violating
-    /// trigger: egd index, full body match, and the two unequal values.
-    fn find_violation_seeded(&self, inst: &Instance, seed: &DeltaCursor) -> Option<EgdViolation> {
-        for (ei, egd) in self.setting.egds.iter().enumerate() {
-            for (i, batom) in egd.body.iter().enumerate() {
-                for row in inst.delta_rows(batom.rel, seed) {
-                    let mut hit = None;
-                    matcher::for_each_match_seeded(
-                        &egd.body,
-                        i,
-                        row,
-                        inst,
-                        &Assignment::new(),
-                        &mut |env| {
-                            let l = env.get(egd.lhs).expect("egd body binds lhs");
-                            let r = env.get(egd.rhs).expect("egd body binds rhs");
-                            if l != r {
-                                hit = Some((env.clone(), l, r));
-                                false
-                            } else {
-                                true
-                            }
-                        },
-                    );
-                    if let Some((env, left, right)) = hit {
-                        return Some(EgdViolation {
-                            egd_index: ei,
-                            env,
-                            left,
-                            right,
-                        });
-                    }
-                }
-            }
-        }
-        None
     }
 
     /// Builds the structured conflict witness for an egd trigger that
@@ -396,6 +374,7 @@ impl<'a> ChaseEngine<'a> {
             self.emit(EventKind::ChaseCompleted {
                 atoms: inst.len(),
                 steps,
+                egd_seeds_examined: stats.egd_seeds_examined,
             });
         }
         Ok(ChaseSuccess {
@@ -441,13 +420,14 @@ impl<'a> ChaseEngine<'a> {
                 // budget error unwinds out of the round; the analyzer
                 // treats that like a truncated trace.
                 let sp_round = self.tracer.span("round", self.clock.now_ns());
-                // Egds first, to a fixpoint. The seed stays put while the
-                // fixpoint runs: merges re-append the rows they rewrite, so
-                // follow-on violations stay inside the window.
+                // Egds first, to a fixpoint. Merges re-append the rows
+                // they rewrite past every scan cursor, so the scan resumes
+                // where it stopped instead of restarting from the seed.
                 let t_phase = self.clock.now_ns();
                 let sp_egd = self.tracer.span("egd_fixpoint", t_phase);
                 let seed = egd_clean.take().unwrap_or_default();
-                while let Some(v) = self.find_violation_seeded(&inst, &seed) {
+                let mut scan = EgdScan::new(&self.setting.egds, &seed);
+                while let Some(v) = scan.next_violation(inst) {
                     gov.check()?;
                     self.check_steps(steps, &inst).map_err(|e| {
                         stats.egd_time_ns += (self.clock.now_ns() - t_phase) as u128;
@@ -489,6 +469,7 @@ impl<'a> ChaseEngine<'a> {
                         Ok(None) => break,
                     }
                 }
+                stats.egd_seeds_examined += scan.seeds_examined();
                 egd_clean = Some(inst.cursor());
                 sp_egd.close(self.clock.now_ns());
                 stats.egd_time_ns += (self.clock.now_ns() - t_phase) as u128;
@@ -913,6 +894,7 @@ impl<'a> ChaseEngine<'a> {
             self.emit(EventKind::ChaseCompleted {
                 atoms: inst.len(),
                 steps,
+                egd_seeds_examined: stats.egd_seeds_examined,
             });
         }
         sp_resume.close(self.clock.now_ns());
@@ -1076,7 +1058,8 @@ impl<'a> ChaseEngine<'a> {
             let t_phase = self.clock.now_ns();
             let sp_egd = self.tracer.span("egd_fixpoint", t_phase);
             let seed = egd_clean.take().unwrap_or_default();
-            while let Some(v) = self.find_violation_seeded(&inst, &seed) {
+            let mut scan = EgdScan::new(&self.setting.egds, &seed);
+            while let Some(v) = scan.next_violation(&inst) {
                 if let Err(i) = gov.check() {
                     return AlphaOutcome::Interrupted(i);
                 }
@@ -1134,6 +1117,7 @@ impl<'a> ChaseEngine<'a> {
                     Ok(None) => break,
                 }
             }
+            stats.egd_seeds_examined += scan.seeds_examined();
             egd_clean = Some(inst.cursor());
             sp_egd.close(self.clock.now_ns());
             stats.egd_time_ns += (self.clock.now_ns() - t_phase) as u128;
@@ -1148,6 +1132,7 @@ impl<'a> ChaseEngine<'a> {
                     self.emit(EventKind::ChaseCompleted {
                         atoms: inst.len(),
                         steps,
+                        egd_seeds_examined: stats.egd_seeds_examined,
                     });
                 }
                 return AlphaOutcome::Success(AlphaSuccess {
@@ -1297,6 +1282,42 @@ mod tests {
         assert!(fast.stats.validate().is_ok());
         assert!(fast.stats.rounds >= 2);
         assert!(fast.stats.triggers_fired <= fast.stats.triggers_examined);
+    }
+
+    /// n surrogate-key groups of two rows each, merged one after the
+    /// other: a search restarted from the seed after every merge walks
+    /// past all the groups already clean, Θ(n²) pins in total. The
+    /// resumed scan pins each Lookup row once per body position, plus
+    /// one re-pin per merge.
+    #[test]
+    fn egd_seed_work_is_linear_on_a_surrogate_key_chain() {
+        let d = parse_setting(
+            "source { Flat/2 }
+             target { Lookup/2, Rest/2 }
+             st { Flat(x,y) -> exists k . Lookup(k,x) & Rest(k,y); }
+             t { key: Lookup(k1,x) & Lookup(k2,x) -> k1 = k2; }",
+        )
+        .unwrap();
+        let n = 64;
+        let atoms: String = (0..n)
+            .map(|i| format!("Flat(a{i},b{i}). Flat(a{i},c{i}). "))
+            .collect();
+        let s = parse_instance(&atoms).unwrap();
+        let out = ChaseEngine::new(&d, &ChaseBudget::default())
+            .run(&s)
+            .unwrap();
+        let st = &out.stats;
+        assert_eq!(st.egd_steps, n);
+        assert!(st.validate().is_ok());
+        let lookup_rows = 2 * n;
+        let body_positions = 2;
+        let bound = body_positions * (lookup_rows + st.rows_rewritten) + st.egd_steps;
+        assert!(
+            st.egd_seeds_examined <= bound,
+            "{} seeds examined, linear bound {bound}",
+            st.egd_seeds_examined
+        );
+        assert!(st.egd_seeds_examined < n * n / 2);
     }
 
     #[test]

@@ -90,8 +90,15 @@ pub struct EgdRepair {
 /// - `Ok(Some(repair))` if a violation was found and repaired,
 /// - `Ok(None)` if no violation exists,
 /// - `Err(..)` if a violation equates distinct constants.
-pub fn egd_step(setting: &Setting, inst: &Instance) -> Result<Option<EgdRepair>, ChaseError> {
+///
+/// Each egd searched counts one `stats.egd_seeds_examined`.
+pub fn egd_step(
+    setting: &Setting,
+    inst: &Instance,
+    stats: &mut ChaseStats,
+) -> Result<Option<EgdRepair>, ChaseError> {
     for (ei, egd) in setting.egds.iter().enumerate() {
+        stats.egd_seeds_examined += 1;
         if let Some(env) = egd.first_violation(inst).as_ref() {
             let l = env.get(egd.lhs).expect("egd body binds lhs");
             let r = env.get(egd.rhs).expect("egd body binds rhs");
@@ -213,7 +220,7 @@ pub fn chase_naive_clocked(
         }
         // Egds first: they only shrink the instance.
         let t_phase = clock.now_ns();
-        let repair = egd_step(setting, &inst)?;
+        let repair = egd_step(setting, &inst, &mut stats)?;
         stats.egd_time_ns += (clock.now_ns() - t_phase) as u128;
         if let Some(repair) = repair {
             inst = repair.instance;

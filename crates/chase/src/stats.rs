@@ -14,6 +14,12 @@ pub struct ChaseStats {
     pub tgd_steps: usize,
     /// Egd repairs (value merges) performed.
     pub egd_steps: usize,
+    /// Egd body-match searches started by the violation search: one per
+    /// (row, body position) pin in the engine's resumable
+    /// [`dex_logic::EgdScan`], one per whole-body search in the naive
+    /// drivers. Linear in the scanned rows plus `rows_rewritten` for the
+    /// engine; the work measure behind `egd_time_ns`.
+    pub egd_seeds_examined: usize,
     /// Body matches examined as potential tgd triggers.
     pub triggers_examined: usize,
     /// Examined triggers that actually fired.
@@ -89,6 +95,13 @@ impl ChaseStats {
                 self.atoms_rederived, self.atoms_inserted
             ));
         }
+        if self.egd_steps > 0 && self.egd_seeds_examined == 0 {
+            // Every merge resolves a violation some search found.
+            return Err(format!(
+                "{} egd steps but no egd seeds examined",
+                self.egd_steps
+            ));
+        }
         if self.rounds == 0 && self.delta_rows_processed > 0 {
             // Only semi-naive rounds process delta rows; the naive
             // drivers report 0 rounds and must report 0 delta rows.
@@ -111,6 +124,7 @@ impl ChaseStats {
     pub fn merge(&mut self, other: &ChaseStats) {
         self.tgd_steps += other.tgd_steps;
         self.egd_steps += other.egd_steps;
+        self.egd_seeds_examined += other.egd_seeds_examined;
         self.triggers_examined += other.triggers_examined;
         self.triggers_fired += other.triggers_fired;
         self.rounds += other.rounds;
@@ -132,6 +146,10 @@ impl ChaseStats {
         JsonValue::obj()
             .with("tgd_steps", JsonValue::uint(self.tgd_steps as u64))
             .with("egd_steps", JsonValue::uint(self.egd_steps as u64))
+            .with(
+                "egd_seeds_examined",
+                JsonValue::uint(self.egd_seeds_examined as u64),
+            )
             .with(
                 "triggers_examined",
                 JsonValue::uint(self.triggers_examined as u64),
@@ -181,9 +199,10 @@ impl ChaseStats {
     /// `prefix` (e.g. `prefix = "chase"` yields `chase.rounds`), with
     /// phase times recorded into log₂ latency histograms.
     pub fn export_metrics(&self, registry: &mut dex_obs::MetricsRegistry, prefix: &str) {
-        let counters: [(&str, usize); 11] = [
+        let counters: [(&str, usize); 12] = [
             ("tgd_steps", self.tgd_steps),
             ("egd_steps", self.egd_steps),
+            ("egd_seeds_examined", self.egd_seeds_examined),
             ("triggers_examined", self.triggers_examined),
             ("triggers_fired", self.triggers_fired),
             ("rounds", self.rounds),
@@ -280,6 +299,37 @@ mod tests {
     }
 
     #[test]
+    fn egd_steps_without_seeds_are_invalid() {
+        let s = ChaseStats {
+            egd_steps: 1,
+            ..Default::default()
+        };
+        assert!(s.validate().is_err());
+        let ok = ChaseStats {
+            egd_steps: 1,
+            egd_seeds_examined: 1,
+            ..Default::default()
+        };
+        assert!(ok.validate().is_ok());
+    }
+
+    #[test]
+    fn egd_seeds_examined_reach_json_metrics_and_merge() {
+        let s = ChaseStats {
+            egd_steps: 2,
+            egd_seeds_examined: 6,
+            ..Default::default()
+        };
+        assert!(s.to_json().contains("\"egd_seeds_examined\":6"));
+        let mut reg = dex_obs::MetricsRegistry::new();
+        s.export_metrics(&mut reg, "chase");
+        assert_eq!(reg.counter("chase.egd_seeds_examined"), 6);
+        let mut twice = s.clone();
+        twice.merge(&s);
+        assert_eq!(twice.egd_seeds_examined, 12);
+    }
+
+    #[test]
     fn delta_rows_without_rounds_is_invalid() {
         let s = ChaseStats {
             rounds: 0,
@@ -318,6 +368,7 @@ mod tests {
             triggers_fired: 1,
             triggers_examined: 4,
             egd_steps: 2,
+            egd_seeds_examined: 5,
             rounds: 1,
             delta_rows_processed: 4,
             max_round_delta_rows: 4,

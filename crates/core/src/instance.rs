@@ -256,12 +256,31 @@ impl Instance {
         rel: Symbol,
         cursor: &DeltaCursor,
     ) -> impl Iterator<Item = &'a [Value]> + 'a {
-        let mark = cursor.mark(rel);
-        self.rels
-            .get(&rel)
-            .into_iter()
-            .flat_map(move |r| r.rows[mark.min(r.rows.len())..].iter())
-            .filter_map(|r| r.as_deref())
+        self.log_rows_from(rel, cursor.mark(rel))
+            .map(|(_, row)| row)
+    }
+
+    /// The length of `rel`'s row log, tombstones included: the mark a
+    /// cursor taken now would record for `rel`.
+    pub fn log_len(&self, rel: Symbol) -> usize {
+        self.rels.get(&rel).map_or(0, |r| r.rows.len())
+    }
+
+    /// The live rows of `rel` at row-log positions `from..`, each paired
+    /// with its log index. A row's index never changes and is never
+    /// reused, so an index is a stable resume point for a scan.
+    pub fn log_rows_from<'a>(
+        &'a self,
+        rel: Symbol,
+        from: usize,
+    ) -> impl Iterator<Item = (usize, &'a [Value])> + 'a {
+        self.rels.get(&rel).into_iter().flat_map(move |r| {
+            let from = from.min(r.rows.len());
+            r.rows[from..]
+                .iter()
+                .enumerate()
+                .filter_map(move |(i, row)| row.as_deref().map(|row| (from + i, row)))
+        })
     }
 
     /// True iff some relation has a live row appended since `cursor`.
@@ -761,6 +780,27 @@ mod tests {
         assert!(i.has_delta_since(&cur));
         let delta: Vec<_> = i.delta_rows(Symbol::intern("E"), &cur).collect();
         assert_eq!(delta, vec![&[v("a"), v("x")][..]]);
+    }
+
+    #[test]
+    fn log_rows_carry_stable_indices_past_tombstones() {
+        let mut i = sample();
+        let e = Symbol::intern("E");
+        assert_eq!(i.log_len(e), 2);
+        i.merge_value(Value::null(1), v("x"));
+        // Row 1 is a tombstone now; its rewrite sits at index 2.
+        assert_eq!(i.log_len(e), 3);
+        let all: Vec<_> = i.log_rows_from(e, 0).collect();
+        assert_eq!(
+            all,
+            vec![(0, &[v("a"), v("b")][..]), (2, &[v("a"), v("x")][..])]
+        );
+        assert_eq!(
+            i.log_rows_from(e, 1).map(|(k, _)| k).collect::<Vec<_>>(),
+            [2]
+        );
+        assert_eq!(i.log_rows_from(e, 9).count(), 0);
+        assert_eq!(i.log_len(Symbol::intern("Nope")), 0);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! standard chase result.
 
 use dex_chase::{ChaseBudget, ChaseError};
-use dex_core::{merge_policy, Instance, NullGen, Value};
-use dex_logic::Setting;
+use dex_core::{merge_policy, DeltaCursor, Instance, NullGen, Value};
+use dex_logic::{EgdScan, Setting};
 
 /// Which of Proposition 5.4's classes a setting falls into.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -78,6 +78,7 @@ pub fn cansol(
             //    `Instance::merge_value`, instead of cloning the whole
             //    instance per repair. The merge homomorphism composed
             //    with the fresh α is the witnessing α for the result.
+            let mut scan = EgdScan::new(&setting.egds, &DeltaCursor::origin());
             let mut steps = 0usize;
             loop {
                 gov.force_check()?;
@@ -87,25 +88,16 @@ pub fn cansol(
                         atoms: inst.len(),
                     });
                 }
-                let mut violation = None;
-                for (ei, egd) in setting.egds.iter().enumerate() {
-                    if let Some(env) = egd.first_violation(&inst) {
-                        let l = env.get(egd.lhs).expect("egd body binds lhs");
-                        let r = env.get(egd.rhs).expect("egd body binds rhs");
-                        violation = Some((ei, env, l, r));
-                        break;
-                    }
-                }
-                let Some((ei, env, l, r)) = violation else {
+                let Some(v) = scan.next_violation(&inst) else {
                     break;
                 };
-                match merge_policy(l, r) {
+                match merge_policy(v.left, v.right) {
                     Err((c, d)) => {
                         return Err(ChaseError::EgdConflict {
                             witness: Box::new(dex_chase::ConflictWitness::from_trigger(
-                                &setting.egds[ei],
-                                ei,
-                                &env,
+                                &setting.egds[v.egd_index],
+                                v.egd_index,
+                                &v.env,
                                 Value::Const(c),
                                 Value::Const(d),
                             )),
@@ -115,7 +107,7 @@ pub fn cansol(
                         inst.merge_value(m.loser, m.winner);
                         steps += 1;
                     }
-                    // first_violation only reports l != r.
+                    // The scan only reports left != right.
                     Ok(None) => unreachable!("violation with equal sides"),
                 }
             }

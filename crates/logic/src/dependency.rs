@@ -11,7 +11,7 @@ use crate::formula::{
     eval, eval_with_domain, quantification_domain, Assignment, FAtom, Formula, Var,
 };
 use crate::matcher;
-use dex_core::{Atom, Instance, Value};
+use dex_core::{Atom, DeltaCursor, Instance, Value};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -426,6 +426,129 @@ impl Egd {
     }
 }
 
+/// An egd trigger whose two sides are unequal, as found by [`EgdScan`]:
+/// the egd's index in the scanned slice, the full body match, and the
+/// two values the egd equates.
+#[derive(Debug)]
+pub struct EgdViolation {
+    pub egd_index: usize,
+    pub env: Assignment,
+    pub left: Value,
+    pub right: Value,
+}
+
+/// One (egd, body position) cursor of an [`EgdScan`].
+struct ScanSlot {
+    egd: usize,
+    pos: usize,
+    /// The row-log index the scan of this slot resumes at.
+    next: usize,
+}
+
+/// A resumable egd-violation scan over a row-log window: the one search
+/// behind every egd fixpoint (the chase engine's standard and α loops,
+/// `CanSol`'s egd merging, and query propagation's forced merges).
+///
+/// The scan keeps one row-log cursor per (egd, body position), all
+/// starting at the seed cursor's marks. It pins each live row at its
+/// body position in turn and stops at the first body match with
+/// `lhs ≠ rhs`, leaving that cursor on the row. After the caller merges
+/// the two values with [`Instance::merge_value`], the next call resumes
+/// from the saved cursors instead of from the seed. That is complete
+/// because a row the scan has passed keeps its values unless a merge
+/// rewrites it, and a rewrite tombstones the row and re-appends it past
+/// every cursor: any new violation contains a row some cursor has not
+/// reached yet. A call returns `None` once one mutation-free pass has
+/// brought every cursor to the end of its relation's log — the egd
+/// fixpoint. Each log row is pinned once per slot, plus one re-pin per
+/// merge, so a fixpoint costs O(window + rewritten rows) pins.
+///
+/// A fresh scan reports the same first violation as a search restarted
+/// from the seed: slots run in (egd, position) order, rows in log order.
+pub struct EgdScan<'a> {
+    egds: &'a [Egd],
+    slots: Vec<ScanSlot>,
+    /// The slot the next call starts at.
+    at: usize,
+    seeds: usize,
+}
+
+impl<'a> EgdScan<'a> {
+    /// A scan of the rows appended since `seed` (all rows when `seed`
+    /// is [`DeltaCursor::origin`]). Every violation of the instance must
+    /// involve such a row — the caller's fixpoint invariant.
+    pub fn new(egds: &'a [Egd], seed: &DeltaCursor) -> EgdScan<'a> {
+        let slots = egds
+            .iter()
+            .enumerate()
+            .flat_map(|(egd, e)| {
+                e.body.iter().enumerate().map(move |(pos, a)| ScanSlot {
+                    egd,
+                    pos,
+                    next: seed.mark(a.rel),
+                })
+            })
+            .collect();
+        EgdScan {
+            egds,
+            slots,
+            at: 0,
+            seeds: 0,
+        }
+    }
+
+    /// Seeded body matches started so far: one per (row, body position)
+    /// pin.
+    pub fn seeds_examined(&self) -> usize {
+        self.seeds
+    }
+
+    /// The next violation, or `None` at the egd fixpoint. Between calls
+    /// `inst` may only change by inserts and [`Instance::merge_value`]
+    /// (or lose rows): the cursors index its row logs.
+    pub fn next_violation(&mut self, inst: &Instance) -> Option<EgdViolation> {
+        let egds = self.egds;
+        for _ in 0..self.slots.len() {
+            let slot = &mut self.slots[self.at];
+            let egd = &egds[slot.egd];
+            let rel = egd.body[slot.pos].rel;
+            for (idx, row) in inst.log_rows_from(rel, slot.next) {
+                self.seeds += 1;
+                let mut hit = None;
+                matcher::for_each_match_seeded(
+                    &egd.body,
+                    slot.pos,
+                    row,
+                    inst,
+                    &Assignment::new(),
+                    &mut |env| {
+                        let l = env.get(egd.lhs).expect("egd body binds lhs");
+                        let r = env.get(egd.rhs).expect("egd body binds rhs");
+                        if l != r {
+                            hit = Some((env.clone(), l, r));
+                            false
+                        } else {
+                            true
+                        }
+                    },
+                );
+                if let Some((env, left, right)) = hit {
+                    slot.next = idx;
+                    return Some(EgdViolation {
+                        egd_index: slot.egd,
+                        env,
+                        left,
+                        right,
+                    });
+                }
+            }
+            slot.next = inst.log_len(rel);
+            self.at = (self.at + 1) % self.slots.len();
+        }
+        None
+    }
+}
+
 impl fmt::Display for Egd {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (i, a) in self.body.iter().enumerate() {
@@ -663,5 +786,52 @@ mod tests {
             "N(x,y) -> exists z1,z2 . E(x,z1) & F(x,z2)"
         );
         assert_eq!(format!("{}", d4()), "F(x,y) & F(x,z) -> y = z");
+    }
+
+    /// `s_key` is scanned first and passes both S rows clean. Only the
+    /// `r_key` merge ⊥2 ↦ ⊥1 re-appends S(⊥2,⊥4) as S(⊥1,⊥4), whose
+    /// violation joins it with S(⊥1,⊥3) — a row `s_key`'s cursors have
+    /// already passed. The scan must wrap around to find it.
+    #[test]
+    fn resumed_scan_finds_violations_behind_passed_cursors() {
+        let d = crate::parser::parse_setting(
+            "source { P/2 }
+             target { R/2, S/2 }
+             st { P(x,y) -> R(x,y); }
+             t {
+               s_key: S(k,m) & S(k,n) -> m = n;
+               r_key: R(x,k) & R(x,l) -> k = l;
+             }",
+        )
+        .unwrap();
+        let start = crate::parser::parse_instance("R(a,_1). R(a,_2). S(_1,_3). S(_2,_4).").unwrap();
+        let merge = |inst: &mut Instance, l: Value, r: Value| {
+            let m = dex_core::merge_policy(l, r).unwrap().unwrap();
+            inst.merge_value(m.loser, m.winner);
+        };
+
+        let mut scanned = start.clone();
+        let mut scan = EgdScan::new(&d.egds, &DeltaCursor::origin());
+        let mut order = Vec::new();
+        while let Some(v) = scan.next_violation(&scanned) {
+            order.push(d.egds[v.egd_index].name.clone());
+            merge(&mut scanned, v.left, v.right);
+        }
+        assert_eq!(order, ["r_key", "s_key"]);
+
+        // Referee: restart `first_violation` from scratch after every merge.
+        let mut referee = start;
+        while let Some((egd, env)) = d
+            .egds
+            .iter()
+            .find_map(|e| e.first_violation(&referee).map(|env| (e, env)))
+        {
+            let (l, r) = (env.get(egd.lhs).unwrap(), env.get(egd.rhs).unwrap());
+            merge(&mut referee, l, r);
+        }
+        assert_eq!(scanned, referee);
+        assert_eq!(scanned.len(), 2);
+        // Four rows per slot at most, plus one re-pin per merge.
+        assert!(scan.seeds_examined() <= 4 * 4 + 2);
     }
 }

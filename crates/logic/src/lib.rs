@@ -19,7 +19,7 @@ pub use acyclicity::{
     dependency_graph, extended_dependency_graph, is_richly_acyclic, is_weakly_acyclic,
     position_ranks, DependencyGraph, Position,
 };
-pub use dependency::{Body, Dependency, DependencyError, Egd, Tgd};
+pub use dependency::{Body, Dependency, DependencyError, Egd, EgdScan, EgdViolation, Tgd};
 pub use formula::{
     eval, eval_with_domain, quantification_domain, Assignment, FAtom, Formula, Term, Var,
 };

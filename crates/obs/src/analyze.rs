@@ -270,6 +270,12 @@ impl TraceProfile {
                         None => p.roots.push(open.node),
                     }
                 }
+                "chase_completed" => {
+                    p.metrics.inc(
+                        "chase.egd_seeds_examined",
+                        u128::from(u64_of(line, "egd_seeds_examined")),
+                    );
+                }
                 "governor_tripped" => {
                     let reason = str_of(line, "reason").unwrap_or("?").to_string();
                     *p.governor.entry(reason).or_insert(0) += 1;

@@ -56,12 +56,12 @@ use crate::modal::{
 use crate::possible::cq_is_maybe_answer;
 use dex_core::govern::{Governor, Interrupt, Verdict};
 use dex_core::{
-    chunk_ranges, range_cost, BoundedExt, Instance, MixedRadixValuations, NullId, Pool, Symbol,
-    Valuation, Value,
+    chunk_ranges, merge_policy, range_cost, BoundedExt, DeltaCursor, Instance,
+    MixedRadixValuations, NullId, Pool, Symbol, Valuation, Value,
 };
 use dex_logic::dependency::Body;
 use dex_logic::formula::Assignment;
-use dex_logic::{matcher, ConjunctiveQuery, Query, Setting};
+use dex_logic::{matcher, ConjunctiveQuery, EgdScan, Query, Setting};
 use dex_obs::Tracer;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -163,42 +163,20 @@ fn const_conflict(setting: &Setting, inst: &Instance) -> bool {
 /// sides involve a null merge the two values (the equality holds in
 /// every representative, so every representative factors through the
 /// quotient); a const/const violation returns `None` (`Rep_D(T) = ∅`).
+/// Nulls fold onto constants, and the larger null id onto the smaller.
 /// Returns the number of nulls eliminated. Terminates because each merge
 /// removes one distinct value from the instance.
 fn merge_fixpoint(setting: &Setting, t: &mut Instance) -> Option<usize> {
     let mut eliminated = 0usize;
-    loop {
-        let mut changed = false;
-        for egd in &setting.egds {
-            while let Some(env) = egd.first_violation(t) {
-                let a = env.get(egd.lhs).expect("egd lhs is body-bound");
-                let b = env.get(egd.rhs).expect("egd rhs is body-bound");
-                match (a, b) {
-                    (Value::Const(_), Value::Const(_)) => return None,
-                    (Value::Null(_), Value::Const(_)) => {
-                        t.merge_value(a, b);
-                    }
-                    (Value::Const(_), Value::Null(_)) => {
-                        t.merge_value(b, a);
-                    }
-                    (Value::Null(x), Value::Null(y)) => {
-                        // Deterministic orientation: larger id folds onto
-                        // the smaller.
-                        if x < y {
-                            t.merge_value(b, a);
-                        } else {
-                            t.merge_value(a, b);
-                        }
-                    }
-                }
-                eliminated += 1;
-                changed = true;
-            }
-        }
-        if !changed {
-            return Some(eliminated);
-        }
+    let mut scan = EgdScan::new(&setting.egds, &DeltaCursor::origin());
+    while let Some(v) = scan.next_violation(t) {
+        let m = merge_policy(v.left, v.right)
+            .ok()?
+            .expect("the scan only reports unequal sides");
+        t.merge_value(m.loser, m.winner);
+        eliminated += 1;
     }
+    Some(eliminated)
 }
 
 /// The relations whose rows `Σ_t` or the query can observe, or `None`
@@ -864,6 +842,39 @@ mod tests {
         assert_eq!(merged, 2);
         assert!(t.is_ground());
         assert!(t.contains(&dex_core::Atom::of("F", vec![c("c"), c("d")])));
+    }
+
+    /// `s_key` passes both S rows clean before `r_key` merges _2 into _1;
+    /// the re-appended S(_1,_4) then violates `s_key` together with the
+    /// already-passed S(_1,_3). Same quotient as restarting
+    /// `first_violation` after every merge.
+    #[test]
+    fn merge_fixpoint_finds_violations_behind_passed_cursors() {
+        let d = parse_setting(
+            "source { P/2 }
+             target { R/2, S/2 }
+             st { P(x,y) -> R(x,y); }
+             t {
+               s_key: S(k,m) & S(k,n) -> m = n;
+               r_key: R(x,k) & R(x,l) -> k = l;
+             }",
+        )
+        .unwrap();
+        let start = parse_instance("R(a,_1). R(a,_2). S(_1,_3). S(_2,_4).").unwrap();
+        let mut t = start.clone();
+        assert_eq!(merge_fixpoint(&d, &mut t), Some(2));
+        let mut referee = start;
+        while let Some((egd, env)) = d
+            .egds
+            .iter()
+            .find_map(|e| e.first_violation(&referee).map(|env| (e, env)))
+        {
+            let m = merge_policy(env.get(egd.lhs).unwrap(), env.get(egd.rhs).unwrap())
+                .unwrap()
+                .unwrap();
+            referee.merge_value(m.loser, m.winner);
+        }
+        assert_eq!(t, referee);
     }
 
     #[test]

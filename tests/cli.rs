@@ -440,3 +440,31 @@ fn trace_subcommand_flags_truncated_traces() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn trace_metrics_report_egd_seeds_examined() {
+    let dir = std::env::temp_dir().join(format!("dex-cli-egd-seeds-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("trace.jsonl");
+    let keyed = "source { P/2 } target { F/2 }
+                 st { P(x,y) -> exists k . F(x,k); }
+                 t { F(x,k) & F(x,l) -> k = l; }";
+    let out = Command::new(env!("CARGO_BIN_EXE_dex"))
+        .args(["chase", keyed, "P(a,b). P(a,c). P(d,e)."])
+        .env("DEX_TRACE", &path)
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+
+    let (ok, metrics, _) = dex(&["trace", path.to_str().unwrap(), "--metrics"]);
+    assert!(ok);
+    cwa_dex::obs::validate_prometheus_text(&metrics).expect("valid exposition text");
+    let seeds: u64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("chase_egd_seeds_examined "))
+        .expect("egd seed counter exposed")
+        .parse()
+        .unwrap();
+    assert!(seeds > 0, "{metrics}");
+    std::fs::remove_dir_all(&dir).ok();
+}
